@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet obdcheck detlint lint serve serve-smoke test test-race short bench bench-big repro artifacts fuzz fuzz-smoke kill-matrix clean
+.PHONY: all build vet obdcheck lint serve serve-smoke test test-race short bench bench-big repro artifacts fuzz fuzz-smoke kill-matrix clean
 
 all: build test test-race
 
@@ -20,12 +20,6 @@ vet: obdcheck
 	$(GO) vet -vettool=$(CURDIR)/bin/obdcheck -staleallows ./...
 
 obdcheck:
-	$(GO) build -o bin/obdcheck ./tools/analyzers/obdcheck
-
-# Deprecated: detlint grew into obdcheck (PR 4). This alias remains for
-# one release; switch scripts to `make vet` / `make obdcheck`.
-detlint:
-	@echo "make detlint is deprecated: the analyzer is now obdcheck (building bin/obdcheck)" >&2
 	$(GO) build -o bin/obdcheck ./tools/analyzers/obdcheck
 
 # Static netlist analysis of the bench circuits (cmd/obdlint).

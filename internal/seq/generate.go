@@ -11,12 +11,13 @@ import (
 // Options is the one knob set shared by every style's generator,
 // replacing the per-style option structs of the old API (atpg.LOSOptions).
 type Options struct {
-	// SampleBudget bounds the random search used beyond ExhaustiveMaxIn
-	// free bits.
+	// SampleBudget bounds the random search used beyond the exhaustive
+	// bound.
 	SampleBudget int
 	// ExhaustiveMaxIn is the free-bit count (styleBits) up to which the
 	// style's pair space is searched exhaustively, making Untestable
-	// verdicts exact.
+	// verdicts exact. The effective bound is min(ExhaustiveMaxIn, 18):
+	// EnumeratePairs lists at most 2^18 pairs.
 	ExhaustiveMaxIn int
 	// Seed drives the random sampling. Batch runs derive a per-fault seed
 	// from it, so results are bit-identical for any worker count.
@@ -29,117 +30,22 @@ func DefaultOptions() *Options {
 	return &Options{SampleBudget: 4096, ExhaustiveMaxIn: 14, Seed: 1}
 }
 
-// stateOf reads the present-state bits out of a complete core pattern.
-func (s *Circuit) stateOf(p atpg.Pattern) State {
-	st := make(State, len(s.FFs))
-	for i, ff := range s.FFs {
-		st[i] = p[ff.Q]
-	}
-	return st
-}
-
-// buildPair assembles the pair selected by a free-bit assignment: bit(i)
-// is the i-th free choice of the style's pair space (see styleBits). It
-// returns nil for assignments the style cannot deliver (a LOC launch whose
-// captured state is unknown — impossible for complete cores, kept for
-// safety).
-func buildPair(s *Circuit, style Style, bit func(i int) logic.Value) (*atpg.TwoPattern, error) {
-	n := len(s.Core.Inputs)
-	v1 := make(atpg.Pattern, n)
-	for i, in := range s.Core.Inputs {
-		v1[in] = bit(i)
-	}
-	piOf := func(base int) atpg.Pattern {
-		pi := make(atpg.Pattern, len(s.PIs))
-		for i, in := range s.PIs {
-			pi[in] = bit(base + i)
-		}
-		return pi
-	}
-	switch style {
-	case Enhanced:
-		v2 := make(atpg.Pattern, n)
-		for i, in := range s.Core.Inputs {
-			v2[in] = bit(n + i)
-		}
-		return &atpg.TwoPattern{V1: v1, V2: v2}, nil
-	case LOS:
-		st2 := shiftState(s.stateOf(v1), bit(n))
-		v2, err := s.CoreAssign(st2, piOf(n+1))
-		if err != nil {
-			return nil, err
-		}
-		return &atpg.TwoPattern{V1: v1, V2: v2}, nil
-	case LOC:
-		pi1 := make(atpg.Pattern, len(s.PIs))
-		for _, in := range s.PIs {
-			pi1[in] = v1[in]
-		}
-		st2, err := s.NextState(s.stateOf(v1), pi1)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range st2 {
-			if !v.IsKnown() {
-				return nil, nil
-			}
-		}
-		v2, err := s.CoreAssign(st2, piOf(n))
-		if err != nil {
-			return nil, err
-		}
-		return &atpg.TwoPattern{V1: v1, V2: v2}, nil
-	default:
-		return nil, &StyleError{Style: style}
-	}
-}
-
 // Generate searches the style's pair space for a two-pattern test of one
-// core OBD fault. Free-bit spaces up to opt.ExhaustiveMaxIn are searched
-// exhaustively (Untestable verdicts are then exact); larger spaces fall
-// back to opt.SampleBudget seeded random tries, where a miss is reported
-// as Aborted. The error return is reserved for structural failures
-// (unknown style, a chain that does not fit the core) — search exhaustion
-// is a status, not an error.
+// core OBD fault: GenerateTests over a one-fault list. Free-bit spaces up
+// to the exhaustive bound (see Options) are searched exhaustively
+// (Untestable verdicts are then exact); larger spaces fall back to
+// opt.SampleBudget seeded random tries, where a miss is reported as
+// Aborted. The error return is reserved for structural failures (unknown
+// style) — search exhaustion is a status, not an error.
 func Generate(s *Circuit, f fault.OBD, style Style, opt *Options) (*atpg.TwoPattern, atpg.Status, error) {
-	if opt == nil {
-		opt = DefaultOptions()
-	}
-	bits, err := styleBits(s, style)
+	res, err := GenerateTests(s, []fault.OBD{f}, style, opt)
 	if err != nil {
 		return nil, atpg.Errored, err
 	}
-	// The exhaustive loop iterates one machine word; 30 bits is already a
-	// billion pairs, far past any sensible ExhaustiveMaxIn.
-	if bits <= opt.ExhaustiveMaxIn && bits <= 30 {
-		for m := 0; m < 1<<uint(bits); m++ {
-			tp, err := buildPair(s, style, func(i int) logic.Value {
-				return logic.FromBool(m&(1<<uint(i)) != 0)
-			})
-			if err != nil {
-				return nil, atpg.Errored, err
-			}
-			if tp != nil && atpg.DetectsOBD(s.Core, f, *tp) {
-				return tp, atpg.Detected, nil
-			}
-		}
-		return nil, atpg.Untestable, nil
+	if res.Statuses[0] != atpg.Detected {
+		return nil, res.Statuses[0], nil
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for k := 0; k < opt.SampleBudget; k++ {
-		draw := make([]logic.Value, bits)
-		for i := range draw {
-			draw[i] = logic.FromBool(rng.Intn(2) == 1)
-		}
-		tp, err := buildPair(s, style, func(i int) logic.Value { return draw[i] })
-		if err != nil {
-			return nil, atpg.Errored, err
-		}
-		if tp != nil && atpg.DetectsOBD(s.Core, f, *tp) {
-			return tp, atpg.Detected, nil
-		}
-	}
-	return nil, atpg.Aborted, nil
+	return &res.Tests[0], atpg.Detected, nil
 }
 
 // GenerateLOCTest is Generate specialized to launch-on-capture — the
@@ -168,30 +74,42 @@ func GenerateTests(s *Circuit, faults []fault.OBD, style Style, opt *Options) (*
 // GenerateTestsOn is GenerateTests on an explicit scheduler, for callers
 // (the serving layer) that own a configured pool. The result does not
 // depend on the scheduler's worker count.
+//
+// Within the exhaustive bound the style's whole space (EnumeratePairs) is
+// graded once by one PairGrader the workers share, and each fault takes
+// its first detecting pair. Beyond it each fault grades its own seeded
+// draws 64 at a time. Both keep the free-bit order, so a fault's test is
+// the pair a one-at-a-time search would stop at.
 func GenerateTestsOn(sched *atpg.Scheduler, s *Circuit, faults []fault.OBD, style Style, opt *Options) (*Result, error) {
 	if opt == nil {
 		opt = DefaultOptions()
 	}
-	bits, err := styleBits(s, style)
+	sp, err := newPairSpace(s, style)
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{
 		Style:    style,
 		Statuses: make([]atpg.Status, len(faults)),
-		Exact:    bits <= opt.ExhaustiveMaxIn && bits <= 30,
+		Exact:    sp.bits <= min(opt.ExhaustiveMaxIn, maxPairSpaceBits),
 	}
 	tps := make([]*atpg.TwoPattern, len(faults))
-	errs := make([]error, len(faults))
-	sched.ForEach(len(faults), func(i int) {
-		o := *opt
-		o.Seed = opt.Seed + int64(i)*0x9E3779B9 // decorrelate per-fault sampling
-		tps[i], out.Statuses[i], errs[i] = Generate(s, faults[i], style, &o)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if out.Exact {
+		space := sp.enumerate()
+		pg := atpg.NewPairGrader(s.Core, space)
+		sched.ForEach(len(faults), func(i int) {
+			out.Statuses[i] = atpg.Untestable
+			//obdcheck:allow paniccontract — the sweep fallback shards pairs into 64-pattern blocks, so PackPatterns' at-most-64 precondition holds
+			if k := pg.FirstDetecting(faults[i]); k >= 0 {
+				tps[i], out.Statuses[i] = &space[k], atpg.Detected
+			}
+		})
+	} else {
+		s.Core.Index() // build the lazy index before the workers' graders share it
+		sched.ForEach(len(faults), func(i int) {
+			seed := opt.Seed + int64(i)*0x9E3779B9 // decorrelate per-fault sampling
+			tps[i], out.Statuses[i] = sp.sample(faults[i], opt.SampleBudget, seed)
+		})
 	}
 	out.Coverage = atpg.Coverage{Total: len(faults)}
 	for i, f := range faults {
@@ -203,6 +121,33 @@ func GenerateTestsOn(sched *atpg.Scheduler, s *Circuit, faults []fault.OBD, styl
 		}
 	}
 	return out, nil
+}
+
+// sample grades up to budget seeded draws from the pair space against one
+// fault, 64 pairs per PairGrader. Each draw takes the style's free bits
+// from the RNG in order, so the first detecting draw is the one a
+// one-at-a-time search would stop at. A miss is Aborted: sampling proves
+// nothing untestable.
+func (sp *pairSpace) sample(f fault.OBD, budget int, seed int64) (*atpg.TwoPattern, atpg.Status) {
+	rng := rand.New(rand.NewSource(seed))
+	draw := make([]logic.Value, sp.bits)
+	bit := func(i int) logic.Value { return draw[i] }
+	for k := 0; k < budget; k += 64 {
+		batch := make([]atpg.TwoPattern, 0, 64)
+		for j := k; j < budget && j < k+64; j++ {
+			for i := range draw {
+				draw[i] = logic.FromBool(rng.Intn(2) == 1)
+			}
+			if tp, ok := sp.pair(bit); ok {
+				batch = append(batch, tp)
+			}
+		}
+		//obdcheck:allow paniccontract — a batch holds at most 64 pairs, within PackPatterns' at-most-64 precondition
+		if i := atpg.NewPairGrader(sp.s.Core, batch).FirstDetecting(f); i >= 0 {
+			return &batch[i], atpg.Detected
+		}
+	}
+	return nil, atpg.Aborted
 }
 
 // GenerateLOCTests is GenerateTests specialized to launch-on-capture.

@@ -263,6 +263,42 @@ func TestStyleOrdering(t *testing.T) {
 	}
 }
 
+// TestLOSDoesNotContainLOC pins why TestStyleOrdering checks only
+// enhanced ⊇ LOS and enhanced ⊇ LOC: a LOS launch state is a shift of the
+// first state, a LOC one its next state, and neither space contains the
+// other. On randomSeq(3), launch-on-capture detects g1/NMOS@q1, which an
+// exhaustive launch-on-shift search proves untestable.
+func TestLOSDoesNotContainLOC(t *testing.T) {
+	s, err := FromCircuit(randomSeq(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, _ := fault.OBDUniverse(s.Core)
+	k := -1
+	for i, f := range faults {
+		if f.String() == "g1/NMOS@q1" {
+			k = i
+		}
+	}
+	if k < 0 {
+		t.Fatal("randomSeq(3) has no fault g1/NMOS@q1")
+	}
+	los, err := GenerateTests(s, faults, LOS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := GenerateTests(s, faults, LOC, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !los.Exact || !loc.Exact {
+		t.Fatal("the searches were not exhaustive")
+	}
+	if los.Statuses[k] != atpg.Untestable || loc.Statuses[k] != atpg.Detected {
+		t.Fatalf("g1/NMOS@q1: LOS %v, LOC %v; want untestable, detected", los.Statuses[k], loc.Statuses[k])
+	}
+}
+
 // TestS27StyleCensus pins the s27-class benchmark's exact per-style
 // coverage — the numbers recorded in EXPERIMENTS.md and grepped by CI.
 func TestS27StyleCensus(t *testing.T) {

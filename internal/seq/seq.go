@@ -15,9 +15,9 @@
 // combinational ATPG/SAT stack runs unchanged. Test generation is unified
 // behind the Style enum (Enhanced, LOS, LOC) and shared Options:
 // GenerateTests / GenerateLOCTests for batches, Generate for one fault,
-// StyleCoverage for exhaustive pair-space grading. The older
-// constructor-centric spellings (New, Mode, PairSpace, GenerateTest,
-// ModeCoverage) remain as deprecated aliases delegating to the new API.
+// StyleCoverage for exhaustive pair-space grading. Every style is searched
+// the same way: one definition of its launchable pairs (EnumeratePairs
+// lists them) graded by the bit-parallel atpg.PairGrader.
 package seq
 
 import (
@@ -46,14 +46,14 @@ type Circuit struct {
 	POs  []string // observable core outputs
 }
 
-// ChainError is a typed scan-chain construction failure from FromCircuit,
-// Insert or New: the flip-flop list does not fit the combinational core.
+// ChainError is a typed scan-chain construction failure from FromCircuit
+// or Insert: the flip-flop list does not fit the combinational core.
 type ChainError struct{ Msg string }
 
 func (e *ChainError) Error() string { return "seq: " + e.Msg }
 
 // build validates and assembles the scan model shared by FromCircuit,
-// Insert and the deprecated New.
+// Insert and the testbed builders.
 func build(core *logic.Circuit, ffs []FF) (*Circuit, error) {
 	if err := core.Validate(); err != nil {
 		return nil, err
@@ -80,14 +80,6 @@ func build(core *logic.Circuit, ffs []FF) (*Circuit, error) {
 	s.POs = append(s.POs, core.Outputs...)
 	return s, nil
 }
-
-// New validates and builds the sequential wrapper from an explicit core
-// and flip-flop list.
-//
-// Deprecated: use FromCircuit on a DFF-bearing netlist, or Insert followed
-// by FromCircuit to go through the flat form; New remains for callers that
-// already hold a hand-built core.
-func New(core *logic.Circuit, ffs []FF) (*Circuit, error) { return build(core, ffs) }
 
 // State is a present-state assignment in scan-chain order.
 type State []logic.Value
@@ -145,18 +137,6 @@ const (
 	LOC                   // launch-on-capture (broadside): second state = the circuit's own next state
 )
 
-// Mode is the old name of Style.
-//
-// Deprecated: use Style.
-type Mode = Style
-
-// Deprecated aliases of the Style constants.
-const (
-	EnhancedScan    = Enhanced // Deprecated: use Enhanced.
-	LaunchOnShift   = LOS      // Deprecated: use LOS.
-	LaunchOnCapture = LOC      // Deprecated: use LOC.
-)
-
 // String implements fmt.Stringer.
 func (m Style) String() string {
 	switch m {
@@ -200,42 +180,6 @@ func (e *StyleError) Error() string {
 	return fmt.Sprintf("seq: unknown style %v", e.Style)
 }
 
-// ModeError is the old name of StyleError.
-//
-// Deprecated: use StyleError.
-type ModeError = StyleError
-
-// enumLimit caps the number of nets a full 0/1 enumeration may span.
-const enumLimit = 20
-
-// EnumLimitError reports an enumeration request over more nets than the
-// package's hard cap allows; the pair space would be at least 2^Nets.
-type EnumLimitError struct {
-	Nets  int // nets requested
-	Limit int // the enumLimit cap
-}
-
-func (e *EnumLimitError) Error() string {
-	return fmt.Sprintf("seq: enumeration over %d nets exceeds the %d-net limit", e.Nets, e.Limit)
-}
-
-// enumPatterns yields all complete 0/1 assignments of the named nets.
-func enumPatterns(nets []string) ([]atpg.Pattern, error) {
-	n := len(nets)
-	if n > enumLimit {
-		return nil, &EnumLimitError{Nets: n, Limit: enumLimit}
-	}
-	out := make([]atpg.Pattern, 0, 1<<uint(n))
-	for m := 0; m < 1<<uint(n); m++ {
-		p := make(atpg.Pattern, n)
-		for i, net := range nets {
-			p[net] = logic.FromBool(m&(1<<uint(i)) != 0)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // maxPairSpaceBits bounds the enumerated pair spaces.
 const maxPairSpaceBits = 18
 
@@ -267,147 +211,151 @@ func styleBits(s *Circuit, style Style) (int, error) {
 	}
 }
 
-// EnumeratePairs enumerates every vector pair the application style can
-// deliver to the combinational core. The total search space must stay
-// within maxPairSpaceBits bits.
-func EnumeratePairs(s *Circuit, style Style) ([]atpg.TwoPattern, error) {
+// pairSpace is the one definition of the pairs a style can launch. A pair
+// is selected by the style's free choices (see styleBits): choice i < n is
+// core input i of V1, and the rest fill what the style leaves free in V2 —
+// all of it for Enhanced, the scan-in bit and then the primary inputs for
+// LOS, the primary inputs for LOC.
+type pairSpace struct {
+	s     *Circuit
+	style Style
+	bits  int
+	qPos  []int // core-input position of each FF's Q, in chain order
+	piPos []int // core-input position of each primary input
+	// table, when set, holds every complete core pattern (bit i of the
+	// index is core input i), shared by all pairs built from it.
+	table []atpg.Pattern
+}
+
+func newPairSpace(s *Circuit, style Style) (*pairSpace, error) {
 	bits, err := styleBits(s, style)
 	if err != nil {
 		return nil, err
 	}
-	if bits > maxPairSpaceBits {
-		return nil, &SpaceLimitError{Mode: style, Bits: bits, Limit: maxPairSpaceBits}
+	pos := make(map[string]int, len(s.Core.Inputs))
+	for i, in := range s.Core.Inputs {
+		pos[in] = i
 	}
-	v1s, err := enumPatterns(s.Core.Inputs)
-	if err != nil {
-		return nil, err
+	sp := &pairSpace{s: s, style: style, bits: bits}
+	for _, ff := range s.FFs {
+		sp.qPos = append(sp.qPos, pos[ff.Q])
 	}
-	pi2s, err := enumPatterns(s.PIs)
-	if err != nil {
-		return nil, err
+	for _, in := range s.PIs {
+		sp.piPos = append(sp.piPos, pos[in])
 	}
-	stateOf := func(p atpg.Pattern) State {
-		st := make(State, len(s.FFs))
-		for i, ff := range s.FFs {
-			st[i] = p[ff.Q]
-		}
-		return st
+	return sp, nil
+}
+
+// pair builds the pair selected by the free choices bit(i). ok is false
+// for a choice the style cannot launch: a LOC capture of an unknown state
+// (impossible for complete cores, kept for safety).
+func (sp *pairSpace) pair(bit func(i int) logic.Value) (tp atpg.TwoPattern, ok bool) {
+	n := len(sp.s.Core.Inputs)
+	v1, v2 := make([]logic.Value, n), make([]logic.Value, n)
+	for i := range v1 {
+		v1[i] = bit(i)
 	}
-	var out []atpg.TwoPattern
-	switch style {
+	tp.V1 = sp.pattern(v1)
+	next := n // the first free choice of V2's primary inputs
+	switch sp.style {
 	case Enhanced:
-		for _, v1 := range v1s {
-			for _, v2 := range v1s {
-				out = append(out, atpg.TwoPattern{V1: v1, V2: v2})
-			}
+		for i := range v2 {
+			v2[i] = bit(n + i)
 		}
+		tp.V2 = sp.pattern(v2)
+		return tp, true
 	case LOS:
-		for _, v1 := range v1s {
-			st1 := stateOf(v1)
-			for _, scanIn := range []logic.Value{logic.Zero, logic.One} {
-				st2 := shiftState(st1, scanIn)
-				for _, pi2 := range pi2s {
-					v2, err := s.CoreAssign(st2, pi2)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, atpg.TwoPattern{V1: v1, V2: v2})
-				}
-			}
+		// Shift the chain by one: the scan-in bit enters at index 0.
+		in := bit(n)
+		for _, q := range sp.qPos {
+			v2[q], in = in, v1[q]
 		}
+		next++
 	case LOC:
-		for _, v1 := range v1s {
-			st1 := stateOf(v1)
-			pi1 := make(atpg.Pattern, len(s.PIs))
-			for _, in := range s.PIs {
-				pi1[in] = v1[in]
-			}
-			st2, err := s.NextState(st1, pi1)
-			if err != nil {
-				return nil, err
-			}
-			complete := true
-			for _, v := range st2 {
-				if !v.IsKnown() {
-					complete = false
-				}
-			}
-			if !complete {
-				continue
-			}
-			for _, pi2 := range pi2s {
-				v2, err := s.CoreAssign(st2, pi2)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, atpg.TwoPattern{V1: v1, V2: v2})
+		vals := sp.s.Core.Eval(tp.V1, nil)
+		for j, ff := range sp.s.FFs {
+			if v2[sp.qPos[j]] = vals[ff.D]; !v2[sp.qPos[j]].IsKnown() {
+				return tp, false
 			}
 		}
-	default:
-		return nil, &StyleError{Style: style}
 	}
-	return out, nil
-}
-
-// shiftState returns the 1-bit launch-on-shift successor of a state:
-// scanIn enters at index 0 (the scan-in end) and every bit moves one
-// position down the chain.
-func shiftState(st State, scanIn logic.Value) State {
-	next := make(State, len(st))
-	prev := scanIn
-	for i := range st {
-		next[i] = prev
-		prev = st[i]
+	for k, p := range sp.piPos {
+		v2[p] = bit(next + k)
 	}
-	return next
+	tp.V2 = sp.pattern(v2)
+	return tp, true
 }
 
-// PairSpace enumerates every deliverable vector pair of one style.
-//
-// Deprecated: use EnumeratePairs.
-func (s *Circuit) PairSpace(mode Mode) ([]atpg.TwoPattern, error) {
-	return EnumeratePairs(s, mode)
+// pattern returns the core pattern of a value vector in core-input order:
+// the shared table entry when there is a table, a fresh map otherwise.
+func (sp *pairSpace) pattern(vals []logic.Value) atpg.Pattern {
+	if sp.table != nil {
+		idx := 0
+		for i, v := range vals {
+			if v == logic.One {
+				idx |= 1 << i
+			}
+		}
+		return sp.table[idx]
+	}
+	p := make(atpg.Pattern, len(vals))
+	for i, in := range sp.s.Core.Inputs {
+		p[in] = vals[i]
+	}
+	return p
 }
 
-// GenerateTest searches the style's pair space for a test of the core OBD
-// fault.
-//
-// Deprecated: use Generate, which also distinguishes search failures from
-// untestable verdicts through its error return.
-func (s *Circuit) GenerateTest(f fault.OBD, mode Mode) (*atpg.TwoPattern, atpg.Status) {
-	tp, st, err := Generate(s, f, mode, nil)
+// enumerate lists the whole space in free-bit order: bit i of the index
+// is choice i, so V1 varies fastest. It first builds the shared pattern
+// table, so every listed pair reuses its maps. The caller bounds sp.bits.
+func (sp *pairSpace) enumerate() []atpg.TwoPattern {
+	n := len(sp.s.Core.Inputs)
+	sp.table = make([]atpg.Pattern, 1<<n)
+	for m := range sp.table {
+		sp.table[m] = make(atpg.Pattern, n)
+		for i, in := range sp.s.Core.Inputs {
+			sp.table[m][in] = logic.FromBool(m&(1<<i) != 0)
+		}
+	}
+	out := make([]atpg.TwoPattern, 0, 1<<sp.bits)
+	for m := 0; m < 1<<sp.bits; m++ {
+		if tp, ok := sp.pair(func(i int) logic.Value { return logic.FromBool(m&(1<<i) != 0) }); ok {
+			out = append(out, tp)
+		}
+	}
+	return out
+}
+
+// EnumeratePairs enumerates every vector pair the application style can
+// deliver to the combinational core, in free-bit order (V1 varies
+// fastest). The total search space must stay within maxPairSpaceBits
+// bits. Pairs share their pattern maps; treat them as read-only.
+func EnumeratePairs(s *Circuit, style Style) ([]atpg.TwoPattern, error) {
+	sp, err := newPairSpace(s, style)
 	if err != nil {
-		return nil, atpg.Aborted
+		return nil, err
 	}
-	return tp, st
-}
-
-// ModeCoverage grades every OBD fault of the core against the full pair
-// space of one application style.
-//
-// Deprecated: use StyleCoverage.
-func (s *Circuit) ModeCoverage(mode Mode) (atpg.Coverage, error) {
-	return StyleCoverage(s, mode)
+	if sp.bits > maxPairSpaceBits {
+		return nil, &SpaceLimitError{Mode: style, Bits: sp.bits, Limit: maxPairSpaceBits}
+	}
+	return sp.enumerate(), nil
 }
 
 // StyleCoverage grades every OBD fault of the core against the full pair
-// space of one application style (exhaustive, via the bit-parallel fault
-// simulator).
+// space of one application style: the exhaustive search of
+// GenerateTests, whatever the space's size up to maxPairSpaceBits.
 func StyleCoverage(s *Circuit, style Style) (atpg.Coverage, error) {
-	space, err := EnumeratePairs(s, style)
+	bits, err := styleBits(s, style)
 	if err != nil {
 		return atpg.Coverage{}, err
 	}
-	faults, _ := fault.OBDUniverse(s.Core)
-	pg := atpg.NewPairGrader(s.Core, space)
-	cov := atpg.Coverage{Total: len(faults)}
-	for _, f := range faults {
-		//obdcheck:allow paniccontract — EnumeratePairs bounds the space to maxPairSpaceBits, so PackPatterns' input-count precondition holds
-		if pg.Detects(f) {
-			cov.Detected++
-		} else {
-			cov.Undetected = append(cov.Undetected, f.String())
-		}
+	if bits > maxPairSpaceBits {
+		return atpg.Coverage{}, &SpaceLimitError{Mode: style, Bits: bits, Limit: maxPairSpaceBits}
 	}
-	return cov, nil
+	faults, _ := fault.OBDUniverse(s.Core)
+	res, err := GenerateTests(s, faults, style, &Options{ExhaustiveMaxIn: maxPairSpaceBits})
+	if err != nil {
+		return atpg.Coverage{}, err
+	}
+	return res.Coverage, nil
 }

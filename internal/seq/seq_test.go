@@ -2,7 +2,6 @@ package seq
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,16 +13,16 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	core := logic.C17()
-	if _, err := New(core, []FF{{Q: "nope", D: "n22"}}); err == nil {
+	if _, err := build(core, []FF{{Q: "nope", D: "n22"}}); err == nil {
 		t.Fatal("bad Q accepted")
 	}
-	if _, err := New(core, []FF{{Q: "i1", D: "ghost"}}); err == nil {
+	if _, err := build(core, []FF{{Q: "i1", D: "ghost"}}); err == nil {
 		t.Fatal("undriven D accepted")
 	}
-	if _, err := New(core, []FF{{Q: "i1", D: "n22"}, {Q: "i1", D: "n23"}}); err == nil {
+	if _, err := build(core, []FF{{Q: "i1", D: "n22"}, {Q: "i1", D: "n23"}}); err == nil {
 		t.Fatal("double-fed Q accepted")
 	}
-	s, err := New(core, []FF{{Q: "i1", D: "n22"}})
+	s, err := build(core, []FF{{Q: "i1", D: "n22"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +55,9 @@ func TestAccumulatorNextState(t *testing.T) {
 }
 
 func TestModeStrings(t *testing.T) {
-	if EnhancedScan.String() != "enhanced-scan" ||
-		LaunchOnShift.String() != "launch-on-shift" ||
-		LaunchOnCapture.String() != "launch-on-capture" {
+	if Enhanced.String() != "enhanced-scan" ||
+		LOS.String() != "launch-on-shift" ||
+		LOC.String() != "launch-on-capture" {
 		t.Fatal("mode strings broken")
 	}
 }
@@ -69,21 +68,21 @@ func TestPairSpaceSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Core inputs: a0,a1,b0,b1,cin = 5 bits; PIs = 3.
-	es, err := s.PairSpace(EnhancedScan)
+	es, err := EnumeratePairs(s, Enhanced)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(es) != 32*32 {
 		t.Fatalf("enhanced space %d, want 1024", len(es))
 	}
-	los, err := s.PairSpace(LaunchOnShift)
+	los, err := EnumeratePairs(s, LOS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(los) != 32*2*8 {
 		t.Fatalf("LOS space %d, want 512", len(los))
 	}
-	loc, err := s.PairSpace(LaunchOnCapture)
+	loc, err := EnumeratePairs(s, LOC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestPairSpaceConstraints(t *testing.T) {
 	}
 	// Every LOC pair's second state must equal the next-state function of
 	// the first vector.
-	loc, err := s.PairSpace(LaunchOnCapture)
+	loc, err := EnumeratePairs(s, LOC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestPairSpaceConstraints(t *testing.T) {
 		}
 	}
 	// Every LOS pair's second state must be a shift of the first.
-	los, err := s.PairSpace(LaunchOnShift)
+	los, err := EnumeratePairs(s, LOS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +140,15 @@ func TestModeCoverageOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enh, err := s.ModeCoverage(EnhancedScan)
+	enh, err := StyleCoverage(s, Enhanced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	los, err := s.ModeCoverage(LaunchOnShift)
+	los, err := StyleCoverage(s, LOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := s.ModeCoverage(LaunchOnCapture)
+	loc, err := StyleCoverage(s, LOC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +167,13 @@ func TestGenerateTestDetects(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults, _ := fault.OBDUniverse(s.Core)
-	for _, mode := range []Mode{EnhancedScan, LaunchOnShift, LaunchOnCapture} {
+	for _, mode := range []Style{Enhanced, LOS, LOC} {
 		for k := 0; k < 6; k++ {
 			f := faults[k*len(faults)/6]
-			tp, st := s.GenerateTest(f, mode)
+			tp, st, err := Generate(s, f, mode, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if st != atpg.Detected {
 				continue
 			}
@@ -187,8 +189,13 @@ func TestPairSpaceTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PairSpace(EnhancedScan); err == nil {
-		t.Fatal("oversized space accepted")
+	_, err = EnumeratePairs(s, Enhanced)
+	var sle *SpaceLimitError
+	if !errors.As(err, &sle) {
+		t.Fatalf("got %T (%v), want *SpaceLimitError", err, err)
+	}
+	if sle.Bits != 22 || sle.Limit != maxPairSpaceBits {
+		t.Fatalf("SpaceLimitError fields = %+v", *sle)
 	}
 }
 
@@ -224,25 +231,5 @@ func TestQuickNextStateMatchesAddition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEnumLimitError: oversized enumerations surface as a matchable
-// *EnumLimitError instead of the panic they used to raise.
-func TestEnumLimitError(t *testing.T) {
-	nets := make([]string, enumLimit+1)
-	for i := range nets {
-		nets[i] = fmt.Sprintf("n%d", i)
-	}
-	_, err := enumPatterns(nets)
-	var ele *EnumLimitError
-	if !errors.As(err, &ele) {
-		t.Fatalf("got %T (%v), want *EnumLimitError", err, err)
-	}
-	if ele.Nets != enumLimit+1 || ele.Limit != enumLimit {
-		t.Fatalf("EnumLimitError fields = %+v", *ele)
-	}
-	if ps, err := enumPatterns(nets[:3]); err != nil || len(ps) != 8 {
-		t.Fatalf("in-limit enumeration: %d patterns, err %v", len(ps), err)
 	}
 }
