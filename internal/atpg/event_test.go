@@ -3,6 +3,7 @@ package atpg
 import (
 	"context"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -341,5 +342,43 @@ func TestDetectMaskEventZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("detectMaskEvent allocated %v times per full-universe grade, want 0", allocs)
+	}
+}
+
+// BenchmarkGradeOBDCollapse times a two-worker grade of 256 complete
+// random pairs with and without fault collapsing, over the full OBD
+// universes of testdata/c432.bench and of a 10,000-gate random primitive
+// circuit (the generator's output at seed 1, 64 inputs).
+func BenchmarkGradeOBDCollapse(b *testing.B) {
+	src, err := os.ReadFile("../../testdata/c432.bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c432, err := logic.ParseBenchString(string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	big := logic.RandomCircuit(rand.New(rand.NewSource(1)), logic.RandomOptions{
+		Inputs: 64, Gates: 10000, Primitive: true,
+	})
+	s := NewScheduler(2)
+	for _, tc := range []struct {
+		name string
+		c    *logic.Circuit
+	}{{"c432", c432}, {"10k", big}} {
+		faults, _ := fault.OBDUniverse(tc.c)
+		tests := completeRandomTests(rand.New(rand.NewSource(2)), tc.c, 256)
+		for _, collapse := range []bool{true, false} {
+			name := tc.name + "/uncollapsed"
+			if collapse {
+				name = tc.name + "/collapsed"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					must(s.gradeOBD(context.Background(), tc.c, faults, tests, collapse))
+				}
+			})
+		}
 	}
 }

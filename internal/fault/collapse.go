@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gobd/internal/logic"
 )
@@ -142,4 +143,63 @@ func pairSetKey(f OBD) string {
 	key := strings.Join(ss, ";")
 	pairKeyCache.Store(id, key)
 	return key
+}
+
+// OBDShape is what fault collapsing needs to know about an OBD fault
+// apart from its gate instance. It depends only on the gate type, the
+// arity, the input and the side, so it is computed once per process for
+// each such combination and shared by every instance.
+type OBDShape struct {
+	// PairSet names the excitation pair set: two faults' PairSet ids are
+	// equal exactly when their ExcitationPairs are the same set.
+	PairSet int32
+	// EdgeComplete is OBD.EdgeComplete.
+	EdgeComplete bool
+}
+
+// Shape returns the fault's OBDShape. For gates of up to 16 inputs and
+// faults with an in-range input and a PullUp/PullDown side, a warm call
+// is an array lookup that allocates nothing.
+func (f OBD) Shape() OBDShape {
+	t, arity := f.Gate.Type, len(f.Gate.Inputs)
+	if t < 0 || int(t) >= len(shapeTable) || arity >= len(shapeTable[t]) ||
+		f.Input < 0 || f.Input >= arity || (f.Side != PullUp && f.Side != PullDown) {
+		return shapeOf(f)
+	}
+	slot := &shapeTable[t][arity]
+	shapes := slot.Load()
+	if shapes == nil {
+		// Concurrent first calls may both build; the results are equal.
+		g := syntheticGate(t, arity)
+		built := make([]OBDShape, 2*arity)
+		for i := range built {
+			built[i] = shapeOf(OBD{Gate: g, Input: i / 2, Side: Side(i % 2)})
+		}
+		shapes = &built
+		slot.Store(shapes)
+	}
+	return (*shapes)[2*f.Input+int(f.Side)]
+}
+
+// shapeTable holds, per gate type and arity, the shapes of every
+// (input, side) slot at index 2*input+side.
+var shapeTable [logic.Dff + 1][maxTableArity + 1]atomic.Pointer[[]OBDShape]
+
+// shapeMemo interns pair-set keys into PairSet ids.
+var shapeMemo = struct {
+	sync.Mutex
+	ids map[string]int32
+}{ids: make(map[string]int32)}
+
+// shapeOf computes the shape of f; Shape's table caches the common ones.
+func shapeOf(f OBD) OBDShape {
+	key := pairSetKey(f)
+	shapeMemo.Lock()
+	defer shapeMemo.Unlock()
+	ps, ok := shapeMemo.ids[key]
+	if !ok {
+		ps = int32(len(shapeMemo.ids))
+		shapeMemo.ids[key] = ps
+	}
+	return OBDShape{PairSet: ps, EdgeComplete: f.EdgeComplete()}
 }

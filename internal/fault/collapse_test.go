@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gobd/internal/logic"
@@ -92,6 +95,79 @@ func TestCollapseIndicesMatchCollapse(t *testing.T) {
 			}
 			if mi > 0 && cl[mi-1] >= fi {
 				t.Fatalf("class %d not ascending: %v", ci, cl)
+			}
+		}
+	}
+}
+
+// TestOBDStringFormat pins the concatenating String to the fmt format it
+// replaced, byte for byte, over the c432 universe.
+func TestOBDStringFormat(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/c432.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := logic.ParseBenchString(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, _ := OBDUniverse(c)
+	if len(faults) == 0 {
+		t.Fatal("empty c432 universe")
+	}
+	for _, f := range faults {
+		if got, want := f.String(), fmt.Sprintf("%s/%v@%s", f.Gate.Name, f.Side, f.Gate.Inputs[f.Input]); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestShapeMatchesPairSets checks the shape table against its definition
+// while goroutines fill it concurrently: PairSet ids are equal exactly
+// when the excitation pair sets are, and EdgeComplete is the fault's own.
+// The gates are shapes no other test of this package builds, so the
+// table slots start cold; Side 2 takes the path the table skips.
+func TestShapeMatchesPairSets(t *testing.T) {
+	var faults []OBD
+	for _, g := range []struct {
+		typ   logic.GateType
+		arity int
+	}{{logic.Nor, 5}, {logic.Nand, 5}, {logic.Oai21, 3}, {logic.Xnor, 2}} {
+		gate := syntheticGate(g.typ, g.arity)
+		for i := 0; i < g.arity; i++ {
+			for _, side := range []Side{PullUp, PullDown, 2} {
+				faults = append(faults, OBD{Gate: gate, Input: i, Side: side})
+			}
+		}
+	}
+	got := make([][]OBDShape, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = make([]OBDShape, len(faults))
+			for i := range faults {
+				f := faults[(i+w)%len(faults)]
+				got[w][(i+w)%len(faults)] = f.Shape()
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got[1:] {
+		if !reflect.DeepEqual(got[w+1], got[0]) {
+			t.Fatalf("goroutine %d saw different shapes than goroutine 0", w+1)
+		}
+	}
+	shapes := got[0]
+	for i, f := range faults {
+		if shapes[i].EdgeComplete != f.EdgeComplete() {
+			t.Errorf("%v side %d: EdgeComplete %v, fault says %v", f, f.Side, shapes[i].EdgeComplete, f.EdgeComplete())
+		}
+		for j, g := range faults[:i] {
+			if same := pairSetKey(f) == pairSetKey(g); same != (shapes[i].PairSet == shapes[j].PairSet) {
+				t.Errorf("%v side %d vs %v side %d: equal pair sets %v, equal ids %v",
+					f, f.Side, g, g.Side, same, !same)
 			}
 		}
 	}

@@ -15,9 +15,10 @@ type OBD struct {
 	Side  Side
 }
 
-// String implements fmt.Stringer, e.g. "g7/NMOS@a".
+// String implements fmt.Stringer, e.g. "g7/NMOS@a". Grading renders one
+// per undetected site, so it concatenates instead of calling fmt.
 func (f OBD) String() string {
-	return fmt.Sprintf("%s/%v@%s", f.Gate.Name, f.Side, f.Gate.Inputs[f.Input])
+	return f.Gate.Name + "/" + f.Side.String() + "@" + f.Gate.Inputs[f.Input]
 }
 
 // SlowRising reports the direction of the transition the defect slows:

@@ -65,7 +65,41 @@ type Networks struct {
 // GateNetworks returns the transistor networks of a primitive static CMOS
 // gate type, or ok=false for composite types (BUF/AND/OR/XOR/XNOR), which
 // have no single-gate transistor-level realization.
+//
+// The trees are built once per (type, arity) and the same trees are
+// returned to every caller, so a warm call allocates nothing: callers
+// must treat a returned Network, its Children and their Children as
+// read-only.
 func GateNetworks(t logic.GateType, arity int) (Networks, bool) {
+	if t >= 0 && int(t) < len(networkTable) && arity >= 0 && arity < len(networkTable[t]) {
+		e := &networkTable[t][arity]
+		return e.nets, e.ok
+	}
+	return buildNetworks(t, arity)
+}
+
+// maxTableArity bounds the arities GateNetworks memoizes; wider gates get
+// freshly built trees on every call.
+const maxTableArity = 16
+
+type networkEntry struct {
+	nets Networks
+	ok   bool
+}
+
+// networkTable holds the shared trees, indexed by gate type and arity.
+var networkTable = func() (tab [logic.Dff + 1][maxTableArity + 1]networkEntry) {
+	for t := range tab {
+		for arity := range tab[t] {
+			nets, ok := buildNetworks(logic.GateType(t), arity)
+			tab[t][arity] = networkEntry{nets, ok}
+		}
+	}
+	return tab
+}()
+
+// buildNetworks constructs the trees GateNetworks returns.
+func buildNetworks(t logic.GateType, arity int) (Networks, bool) {
 	leaves := func() []*Network {
 		ls := make([]*Network, arity)
 		for i := range ls {

@@ -1,6 +1,9 @@
 package netcheck
 
 import (
+	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 
 	"gobd/internal/fault"
@@ -156,4 +159,182 @@ func TestCollapseCompleteGuards(t *testing.T) {
 			t.Errorf("synthetic gate fault merged via net-name collision: %v", cl)
 		}
 	})
+}
+
+// loadC432 parses the committed c432-class benchmark circuit.
+func loadC432(t testing.TB) *logic.Circuit {
+	t.Helper()
+	f, err := os.Open("../../testdata/c432.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := logic.ParseBench(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// everySlot lists a fault for every (input, side) of every gate,
+// composite gates included: those have no transistor networks, so their
+// faults all share the empty pair set and are never edge-complete.
+func everySlot(c *logic.Circuit) []fault.OBD {
+	var out []fault.OBD
+	for _, g := range c.Gates {
+		for i := range g.Inputs {
+			out = append(out,
+				fault.OBD{Gate: g, Input: i, Side: fault.PullUp},
+				fault.OBD{Gate: g, Input: i, Side: fault.PullDown})
+		}
+	}
+	return out
+}
+
+// TestCollapseOBDCompleteMatchesReference pins the dense pass to the
+// map-based reference: DeepEqual classes on random primitive and
+// composite circuits and c432, over the full universe, every gate slot,
+// shuffled and subsetted lists, duplicated faults, synthetic gates whose
+// names and nets collide with circuit gates, and malformed sites.
+func TestCollapseOBDCompleteMatchesReference(t *testing.T) {
+	type named struct {
+		name string
+		c    *logic.Circuit
+	}
+	var circuits []named
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
+		rng := rand.New(rand.NewSource(seed))
+		for _, prim := range []bool{true, false} {
+			c := logic.RandomCircuit(rng, logic.RandomOptions{
+				Inputs:    2 + rng.Intn(6),
+				Gates:     10 + rng.Intn(300),
+				Primitive: prim,
+			})
+			// The generator makes only fanout-free nets outputs; extra
+			// outputs on loaded nets exercise the chain rule's PO guard.
+			for _, g := range c.Gates {
+				if rng.Intn(8) == 0 {
+					c.AddOutput(g.Output)
+				}
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			circuits = append(circuits, named{"random", c})
+		}
+	}
+	circuits = append(circuits, named{"c432", loadC432(t)}, named{"chain", chainCircuit(t, nil)})
+
+	rng := rand.New(rand.NewSource(99))
+	for ci, nc := range circuits {
+		c := nc.c
+		universe, _ := fault.OBDUniverse(c)
+		type list struct {
+			name   string
+			faults []fault.OBD
+		}
+		lists := []list{{"universe", universe}, {"slots", everySlot(c)}}
+		shuffled := append([]fault.OBD(nil), universe...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		lists = append(lists, list{"shuffled", shuffled})
+		var subset []fault.OBD
+		for _, f := range universe {
+			if rng.Intn(3) > 0 {
+				subset = append(subset, f)
+			}
+		}
+		lists = append(lists, list{"subset", subset})
+		dup := append([]fault.OBD(nil), universe...)
+		for k := 0; k < len(universe)/2+1 && len(universe) > 0; k++ {
+			dup = append(dup, universe[rng.Intn(len(universe))])
+		}
+		rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
+		lists = append(lists, list{"duplicated", dup})
+		// Synthetic twins: same name, type, inputs and output net as a
+		// circuit gate, but never added to the circuit.
+		syn := append([]fault.OBD(nil), universe...)
+		twins := map[*logic.Gate]*logic.Gate{}
+		for _, f := range universe {
+			if rng.Intn(4) > 0 {
+				continue
+			}
+			tw, ok := twins[f.Gate]
+			if !ok {
+				cp := *f.Gate
+				tw = &cp
+				twins[f.Gate] = tw
+			}
+			syn = append(syn, fault.OBD{Gate: tw, Input: f.Input, Side: f.Side})
+		}
+		rng.Shuffle(len(syn), func(i, j int) { syn[i], syn[j] = syn[j], syn[i] })
+		lists = append(lists, list{"synthetic", syn})
+		// Malformed sites, listed first so chain lookups meet them before
+		// the real faults: an input past the gate's arity and a side that
+		// is neither network. Neither is excited by any pair.
+		var bad []fault.OBD
+		for _, g := range c.Gates {
+			bad = append(bad,
+				fault.OBD{Gate: g, Input: len(g.Inputs), Side: fault.PullUp},
+				fault.OBD{Gate: g, Input: 0, Side: 2})
+		}
+		bad = append(bad, universe...)
+		lists = append(lists, list{"malformed", bad})
+
+		for _, l := range lists {
+			want := collapseOBDCompleteRef(c, l.faults)
+			got := CollapseOBDComplete(c, l.faults)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s #%d (%d gates), %s list of %d faults: classes differ from the reference",
+					nc.name, ci, len(c.Gates), l.name, len(l.faults))
+			}
+		}
+	}
+}
+
+// TestCollapseOBDCompleteAllocs: the pass allocates a fixed handful of
+// arrays, so its allocation count cannot grow with the number of faults,
+// and a warm fault.GateNetworks call hands out the shared trees without
+// allocating.
+func TestCollapseOBDCompleteAllocs(t *testing.T) {
+	big := logic.RandomCircuit(rand.New(rand.NewSource(5)), logic.RandomOptions{
+		Inputs: 32, Gates: 2000, Primitive: true,
+	})
+	for _, c := range []*logic.Circuit{loadC432(t), big} {
+		faults, _ := fault.OBDUniverse(c)
+		c.Index()
+		allocs := testing.AllocsPerRun(20, func() { CollapseOBDComplete(c, faults) })
+		if allocs > 16 {
+			t.Errorf("%d gates, %d faults: CollapseOBDComplete allocated %v times per call, want <= 16",
+				len(c.Gates), len(faults), allocs)
+		}
+	}
+	fault.GateNetworks(logic.Nand, 3)
+	if allocs := testing.AllocsPerRun(100, func() { fault.GateNetworks(logic.Nand, 3) }); allocs != 0 {
+		t.Errorf("warm GateNetworks allocated %v times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkCollapseOBDComplete times the dense pass and the map-based
+// reference over the full OBD universe of a 10,000-gate random primitive
+// circuit (the generator's output at seed 1, 64 inputs).
+func BenchmarkCollapseOBDComplete(b *testing.B) {
+	c := logic.RandomCircuit(rand.New(rand.NewSource(1)), logic.RandomOptions{
+		Inputs: 64, Gates: 10000, Primitive: true,
+	})
+	faults, _ := fault.OBDUniverse(c)
+	c.Index()
+	for _, impl := range []struct {
+		name string
+		fn   func(*logic.Circuit, []fault.OBD) [][]int
+	}{{"dense", CollapseOBDComplete}, {"reference", collapseOBDCompleteRef}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.fn(c, faults)
+			}
+		})
+	}
 }
