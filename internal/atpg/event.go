@@ -120,9 +120,21 @@ func (sc *eventScratch) begin() {
 }
 
 // NewPairGrader packs vector pairs into 64-wide blocks over the circuit's
-// levelization index and evaluates both good-machine frames per block.
-// The circuit must validate (grading entry points check first).
+// levelization index and evaluates both good-machine frames per block,
+// one block after another. The circuit must validate (grading entry
+// points check first).
 func NewPairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
+	return newPairGrader(c, tests, func(n int, build func(i int)) {
+		for i := 0; i < n; i++ {
+			build(i)
+		}
+	})
+}
+
+// newPairGrader is NewPairGrader with the block loop handed to run, which
+// must call build(i) once for every block i in [0,n) before returning.
+// build writes only block i, so any runner gives the same grader.
+func newPairGrader(c *logic.Circuit, tests []TwoPattern, run func(n int, build func(i int))) *PairGrader {
 	idx := c.Index()
 	pg := &PairGrader{c: c, idx: idx, tests: tests, complete: true}
 	pg.scratch.New = func() any { return newEventScratch(idx) }
@@ -131,14 +143,13 @@ func NewPairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
 	for gi, g := range idx.Gates {
 		pg.nets[gi], pg.netsOK[gi] = fault.GateNetworks(g.Type, len(idx.GateIn[gi]))
 	}
-	for start := 0; start < len(tests); start += 64 {
-		end := start + 64
-		if end > len(tests) {
-			end = len(tests)
-		}
-		b := packEventBlock(idx, tests[start:end])
-		pg.complete = pg.complete && b.complete
-		pg.blocks = append(pg.blocks, b)
+	pg.blocks = make([]eventBlock, (len(tests)+63)/64)
+	run(len(pg.blocks), func(i int) {
+		start := 64 * i
+		pg.blocks[i] = packEventBlock(idx, tests[start:min(start+64, len(tests))])
+	})
+	for bi := range pg.blocks {
+		pg.complete = pg.complete && pg.blocks[bi].complete
 	}
 	return pg
 }

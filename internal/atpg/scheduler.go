@@ -288,19 +288,33 @@ func (s *Scheduler) ForEachCtx(ctx context.Context, n int, fn func(i int) error)
 }
 
 // ensureValid levelizes the circuit up-front so the workers never race on
-// the lazy validation cache. An invalid circuit is reported as a typed
-// *InvalidCircuitError instead of the panic earlier revisions threw, and
-// a DFF-bearing circuit as a *SequentialCircuitError: the combinational
-// engines would treat flip-flops as transparent, silently grading a
-// different machine.
+// the lazy validation cache; on a circuit validated since its last
+// mutation it costs one scan for flip-flops. An invalid circuit is
+// reported as a typed *InvalidCircuitError instead of the panic earlier
+// revisions threw, and a DFF-bearing circuit as a *SequentialCircuitError:
+// the combinational engines would treat flip-flops as transparent,
+// silently grading a different machine.
 func ensureValid(c *logic.Circuit) error {
 	if err := c.Validate(); err != nil {
 		return &InvalidCircuitError{Err: err}
 	}
-	if ffs := c.DFFs(); len(ffs) > 0 {
-		return &SequentialCircuitError{DFFs: len(ffs)}
+	if c.HasDFF() {
+		return &SequentialCircuitError{DFFs: len(c.DFFs())}
 	}
 	return nil
+}
+
+// pairGrader is NewPairGrader with the good-machine blocks built across
+// the pool. Building a block settles no fault and simulates no pair, so
+// the run adds to the workers' Busy only, never to Items or Pairs.
+func (s *Scheduler) pairGrader(c *logic.Circuit, tests []TwoPattern) *PairGrader {
+	return newPairGrader(c, tests, func(n int, build func(i int)) {
+		s.run(n, 1, func(lo, hi int, _ *WorkerStats) {
+			for i := lo; i < hi; i++ {
+				build(i)
+			}
+		})
+	})
 }
 
 // mergeCoverage folds per-fault verdict slots into a Coverage, keeping
@@ -350,7 +364,7 @@ func (s *Scheduler) gradeOBD(ctx context.Context, c *logic.Circuit, faults []fau
 	if len(faults) == 0 {
 		return Coverage{Total: 0}, nil
 	}
-	pg := NewPairGrader(c, tests)
+	pg := s.pairGrader(c, tests)
 	classes := [][]int(nil)
 	if collapse && pg.Complete() && len(faults) > 1 {
 		classes = netcheck.CollapseOBDComplete(c, faults)
@@ -536,7 +550,7 @@ func (s *Scheduler) DetectionCounts(c *logic.Circuit, faults []fault.OBD, tests 
 	if len(faults) == 0 {
 		return out, nil
 	}
-	pg := NewPairGrader(c, tests)
+	pg := s.pairGrader(c, tests)
 	s.run(len(faults), gradeGrain(len(faults), s.WorkerCount()), func(lo, hi int, ws *WorkerStats) {
 		for i := lo; i < hi; i++ {
 			out[i] = pg.CountDetecting(faults[i])

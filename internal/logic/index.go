@@ -1,7 +1,12 @@
 package logic
 
 // Index is a dense-ID, levelized view of a validated circuit, built once
-// and cached on the Circuit (any mutation or re-Validate drops it). The
+// and cached on the Circuit. Every mutation path drops it: the Add*
+// methods, and a Validate that finds an exported slice grown directly;
+// re-validating an unchanged circuit keeps it. Once built it is read-only,
+// so a validated circuit whose Index exists is safe to grade from
+// concurrent goroutines (the first Validate and Index calls write the
+// circuit and must not race). The
 // map-of-string-keyed evaluators in logic.go are fine for the paper's
 // ~25-gate examples, but event-driven fault grading over thousands of
 // gates needs array indexing: every net gets a contiguous int ID, every

@@ -91,17 +91,68 @@ func TestIndexCachedAndInvalidated(t *testing.T) {
 		t.Fatalf("rebuilt index nets: %d", y.NumNets())
 	}
 	mustGate(t, c, "gx", Inv, "nx", "extra")
-	c.AddOutput("nx")
 	z := c.Index()
 	if z == y {
-		t.Fatal("AddGate/AddOutput did not invalidate the index")
+		t.Fatal("AddGate did not invalidate the index")
 	}
+	c.AddOutput("nx")
+	w := c.Index()
+	if w == z {
+		t.Fatal("AddOutput did not invalidate the index")
+	}
+	// Re-validating an unmutated circuit keeps the verdict and the index.
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Index() == z {
-		t.Fatal("Validate did not invalidate the index")
+	if c.Index() != w {
+		t.Fatal("Validate of an unmutated circuit rebuilt the index")
 	}
+	// Growing an exported slice directly bypasses invalidate; Validate
+	// notices by length and Index is rebuilt.
+	for _, grow := range []struct {
+		name string
+		do   func()
+	}{
+		{"Inputs", func() { c.Inputs = append(c.Inputs, "raw_in") }},
+		{"Outputs", func() { c.Outputs = append(c.Outputs, c.Inputs[0]) }},
+		{"Gates", func() {
+			c.Gates = append(c.Gates, &Gate{Name: "graw", Type: Inv, Inputs: []string{c.Inputs[0]}, Output: "nraw", Ordinal: len(c.Gates)})
+		}},
+	} {
+		before := c.Index()
+		grow.do()
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", grow.name, err)
+		}
+		after := c.Index()
+		if after == before {
+			t.Fatalf("direct append to %s did not invalidate the index", grow.name)
+		}
+		if after.NumNets() != len(c.Inputs)+len(c.Gates) || len(after.OutputIDs) != len(c.Outputs) {
+			t.Fatalf("%s: rebuilt index has %d nets, %d outputs", grow.name, after.NumNets(), len(after.OutputIDs))
+		}
+	}
+}
+
+// TestValidateRechecksDirectAppend: a verdict cached before a direct
+// append to Gates does not survive it — a gate reading an undriven net
+// added behind the circuit's back fails the next Validate, and so do
+// the structural queries that validate implicitly.
+func TestValidateRechecksDirectAppend(t *testing.T) {
+	c := C17()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c.Gates = append(c.Gates, &Gate{Name: "bad", Type: Inv, Inputs: []string{"nosuch"}, Output: "nbad", Ordinal: len(c.Gates)})
+	if err := c.Validate(); err == nil {
+		t.Fatal("Validate kept a stale verdict after a direct append to Gates")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Index built over an invalid circuit")
+		}
+	}()
+	c.Index()
 }
 
 // TestQuickIndexAgrees: on random circuits the index is a faithful

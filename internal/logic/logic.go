@@ -247,7 +247,12 @@ type Circuit struct {
 	isOutput  map[string]bool
 	ordered   []*Gate // topological order, built by Validate
 	validated bool
-	index     *Index // levelized evaluation index, built lazily by Index
+	// shape is len(Inputs), len(Outputs), len(Gates) at the last
+	// successful Validate. A caller appending to an exported slice
+	// directly bypasses invalidate; the length mismatch sends the next
+	// Validate through the full check again.
+	shape [3]int
+	index *Index // levelized evaluation index, built lazily by Index
 }
 
 // New creates an empty circuit.
@@ -301,6 +306,12 @@ func (c *Circuit) invalidate() {
 	c.index = nil
 }
 
+// upToDate reports whether the last Validate verdict still covers the
+// circuit: no Add* call since, and no exported slice grown behind its back.
+func (c *Circuit) upToDate() bool {
+	return c.validated && c.shape == [3]int{len(c.Inputs), len(c.Outputs), len(c.Gates)}
+}
+
 // AddGate adds a gate driving net output from the input nets.
 func (c *Circuit) AddGate(name string, t GateType, output string, inputs ...string) (*Gate, error) {
 	if !arityOK(t, len(inputs)) {
@@ -345,8 +356,19 @@ func (c *Circuit) IsInput(net string) bool { return c.isInput[net] }
 // combinational cycles, outputs resolvable) and computes the topological
 // order and gate levels. It must be called before evaluation; evaluation
 // helpers call it implicitly.
+//
+// The verdict is cached until the next mutation: re-validating an
+// unchanged circuit returns nil at once and keeps the Index, so it writes
+// nothing and is safe to call from concurrent readers. Mutations through
+// AddInput, AddOutput and AddGate drop the verdict and the Index; so does
+// growing Inputs, Outputs or Gates directly, which Validate detects by
+// their lengths. Replacing a slice element in place, or editing a Gate's
+// fields, is not detected.
 func (c *Circuit) Validate() error {
-	c.index = nil // rebuilt on demand; the order/levels below may change
+	if c.upToDate() {
+		return nil
+	}
+	c.invalidate() // the order, levels and index below may change
 	// Every gate input must be a PI or driven.
 	for _, g := range c.Gates {
 		for _, in := range g.Inputs {
@@ -416,6 +438,7 @@ func (c *Circuit) Validate() error {
 		return fmt.Errorf("logic: circuit %q has a combinational cycle", c.Name)
 	}
 	c.ordered = ordered
+	c.shape = [3]int{len(c.Inputs), len(c.Outputs), len(c.Gates)}
 	c.validated = true
 	return nil
 }
@@ -507,7 +530,7 @@ func (c *Circuit) Depth() int {
 }
 
 func (c *Circuit) mustValidate() {
-	if c.validated {
+	if c.upToDate() {
 		return
 	}
 	if err := c.Validate(); err != nil {
